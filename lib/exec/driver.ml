@@ -446,8 +446,7 @@ let rec emit_blocks on_rows = function
       on_rows ~file file_rows;
       emit_blocks on_rows rest
 
-let run_streaming ?optimize ?minimize ?force ?plan_mode ?(lazy_phase1 = true)
-    ?cache ?timeout_ms
+let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ~pool ~on_rows corpus q =
   with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
   let key =
@@ -487,8 +486,7 @@ let run_streaming ?optimize ?minimize ?force ?plan_mode ?(lazy_phase1 = true)
             let task () =
               Stdx.Retry.io ~site:"pool.task" (fun () ->
                   Stdx.Fault.hit "pool.task";
-                  Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode
-                    ~lazy_phase1 src q)
+                  Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q)
             in
             (name, src, Pool.submit ?timeout_ms pool task))
           sources

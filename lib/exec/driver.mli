@@ -138,7 +138,6 @@ val run_streaming :
   ?minimize:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
-  ?lazy_phase1:bool ->
   ?cache:Rcache.t ->
   ?timeout_ms:float ->
   ?fail_policy:fail_policy ->
@@ -156,8 +155,8 @@ val run_streaming :
     each file's rows as soon as that file settles — the client streams
     file [k]'s answers while later files are still scanning.
     [on_rows] runs on the caller's thread and is never called with an
-    empty row list.  Phase 1 defaults to the pull-based
-    {!Ralg.Lazy_eval} ([lazy_phase1], default [true]).
+    empty row list.  Each file task runs the same {!Oqf.Execute.run}
+    as the CLI, so its work counters match a sequential run's.
 
     The returned outcome's [rows] are identical to {!run_parallel}'s
     for the same corpus and query (qcheck-verified).  The cache

@@ -42,147 +42,167 @@ let diff a b =
   tick_cmp (Array.length a + Array.length b);
   produced (Stdx.Sorted_array.diff ~cmp:Region.compare a b)
 
+(* Every operator counts its comparisons in a local cell and publishes
+   the total with one [add_to]: the registry counter is shared by all
+   domains, so ticking it per step would be an atomic add in the inner
+   loop. *)
+let publish cmps out =
+  tick_cmp !cmps;
+  produced out
+
+(* A single-pass filter that charges one comparison per element. *)
+let select t keep =
+  tick_op ();
+  tick_cmp (Array.length t);
+  produced (filter keep t)
+
 (* Binary searches on the [start] component only.  Regions sharing a
    start are contiguous, so these delimit start windows. *)
-let first_start_geq (t : t) x =
+let first_start_geq ~cmps (t : t) x =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      tick_cmp 1;
+      incr cmps;
       if t.(mid).Region.start < x then go (mid + 1) hi else go lo mid
   in
   go 0 (Array.length t)
 
-let last_start_leq (t : t) x =
+let last_start_leq ~cmps (t : t) x =
   let rec go lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      tick_cmp 1;
+      incr cmps;
       if t.(mid).Region.start <= x then go (mid + 1) hi else go lo mid
   in
   go 0 (Array.length t) - 1
 
-let stops (t : t) = Array.map (fun r -> r.Region.stop) t
+(* [inside ~strict ~cmps s] decides, for regions presented in increasing
+   order, whether some region of [s] lies inside the given one (other
+   than the region itself when [strict]).  Such a witness starts within
+   the region's extent; the first candidate index only moves forward as
+   the starts grow, so one pointer replaces a search per probe, and the
+   window scan stops at the first witness.  On laminar sets the first
+   candidate past a shared start already decides. *)
+let inside ~strict ~cmps (s : t) =
+  let n = Array.length s in
+  let first = ref 0 in
+  fun (reg : Region.t) ->
+    while !first < n && s.(!first).Region.start < reg.start do
+      incr cmps;
+      incr first
+    done;
+    let rec scan i =
+      if i >= n then false
+      else begin
+        let cand = s.(i) in
+        incr cmps;
+        if cand.Region.start > reg.stop then false
+        else
+          (cand.Region.stop <= reg.stop
+          && not (strict && Region.equal cand reg))
+          || scan (i + 1)
+      end
+    in
+    scan !first
 
-let min_stop_table t = Stdx.Range_minmax.of_array ~kind:`Min (stops t)
-let max_stop_table t = Stdx.Range_minmax.of_array ~kind:`Max (stops t)
-
-(* Building a range-min table over [s] costs O(|s| log |s|); for a
-   handful of probes a direct window scan is cheaper. *)
-let small_threshold = 16
-
-let including r s =
+(* [r ⊃ s]: one forward pass over both operands. *)
+let including_pass ~strict r s =
   tick_op ();
   if is_empty r || is_empty s then empty
-  else if Array.length r <= small_threshold then begin
-    let keep (reg : Region.t) =
-      let lo = first_start_geq s reg.start in
-      let n = Array.length s in
-      let rec scan i =
-        if i >= n then false
-        else begin
-          let cand = s.(i) in
-          tick_cmp 1;
-          if cand.Region.start > reg.stop then false
-          else cand.Region.stop <= reg.stop || scan (i + 1)
-        end
-      in
-      scan lo
-    in
-    produced (filter keep r)
-  end
   else begin
-    let table = min_stop_table s in
-    let keep (reg : Region.t) =
-      let lo = first_start_geq s reg.start in
-      let hi = last_start_leq s reg.stop in
-      match Stdx.Range_minmax.query table ~lo ~hi with
-      | Some m -> m <= reg.stop
-      | None -> false
-    in
-    produced (filter keep r)
+    let cmps = ref 0 in
+    publish cmps (filter (inside ~strict ~cmps s) r)
   end
 
-let included r s =
+(* [r ⊂ s]: a witness starts at or before [reg.start], so it has been
+   passed by the time [reg] is reached; a running maximum stop over the
+   passed regions decides.  [m_lt] covers witnesses starting strictly
+   before [reg], [m_eq] those sharing its start: the strict form needs
+   the split because a same-start witness with the same stop is [reg]
+   itself. *)
+let included_pass ~strict r s =
   tick_op ();
   if is_empty r || is_empty s then empty
-  else if Array.length r <= small_threshold then begin
-    let keep (reg : Region.t) =
-      let hi = last_start_leq s reg.start in
-      let rec scan i =
-        if i < 0 then false
-        else begin
-          tick_cmp 1;
-          s.(i).Region.stop >= reg.stop || scan (i - 1)
-        end
-      in
-      scan hi
-    in
-    produced (filter keep r)
-  end
   else begin
-    let table = max_stop_table s in
+    let cmps = ref 0 in
+    let n = Array.length s in
+    let next = ref 0 in
+    let cur_start = ref min_int and m_lt = ref min_int and m_eq = ref min_int in
     let keep (reg : Region.t) =
-      let hi = last_start_leq s reg.start in
-      match Stdx.Range_minmax.query table ~lo:0 ~hi with
-      | Some m -> m >= reg.stop
-      | None -> false
+      if reg.start > !cur_start then begin
+        m_lt := max !m_lt !m_eq;
+        m_eq := min_int;
+        cur_start := reg.start
+      end;
+      while !next < n && s.(!next).Region.start <= reg.start do
+        let w = s.(!next) in
+        incr cmps;
+        if w.Region.start < reg.start then m_lt := max !m_lt w.Region.stop
+        else m_eq := max !m_eq w.Region.stop;
+        incr next
+      done;
+      incr cmps;
+      !m_lt >= reg.stop || if strict then !m_eq > reg.stop else !m_eq >= reg.stop
     in
-    produced (filter keep r)
+    publish cmps (filter keep r)
   end
+
+let including r s = including_pass ~strict:false r s
+let included r s = included_pass ~strict:false r s
+let including_strict r s = including_pass ~strict:true r s
+let included_strict r s = included_pass ~strict:true r s
 
 (* Is there a context region strictly between [outer] and [inner]?  The
    candidate window is the context regions whose start lies in
    [outer.start, inner.start]; each is tested for membership in the stop
    band.  Extents equal to either operand do not count as "between". *)
-let blocked ~(context : t) (outer : Region.t) (inner : Region.t) =
-  let lo = first_start_geq context outer.start in
-  let hi = last_start_leq context inner.start in
+let strictly_between (u : Region.t) ~(outer : Region.t) ~(inner : Region.t) =
+  u.stop >= inner.stop
+  && u.stop <= outer.stop
+  && (not (Region.equal u outer))
+  && not (Region.equal u inner)
+
+let blocked ~cmps ~(context : t) (outer : Region.t) (inner : Region.t) =
+  let lo = first_start_geq ~cmps context outer.start in
+  let hi = last_start_leq ~cmps context inner.start in
   let rec go i =
-    if i > hi then false
-    else begin
-      let u = context.(i) in
-      tick_cmp 1;
-      if
-        u.Region.stop >= inner.Region.stop
-        && u.Region.stop <= outer.Region.stop
-        && (not (Region.equal u outer))
-        && not (Region.equal u inner)
-      then true
-      else go (i + 1)
-    end
+    i <= hi
+    && begin
+         incr cmps;
+         strictly_between context.(i) ~outer ~inner || go (i + 1)
+       end
   in
   go lo
 
-let count_strictly_between ~(context : t) ~(outer : Region.t)
-    ~(inner : Region.t) =
-  let lo = first_start_geq context outer.start in
-  let hi = last_start_leq context inner.start in
+let count_between ~cmps ~(context : t) ~(outer : Region.t) ~(inner : Region.t)
+    =
+  let lo = first_start_geq ~cmps context outer.start in
+  let hi = last_start_leq ~cmps context inner.start in
   let count = ref 0 in
   for i = lo to hi do
-    let u = context.(i) in
-    tick_cmp 1;
-    if
-      u.Region.stop >= inner.Region.stop
-      && u.Region.stop <= outer.Region.stop
-      && (not (Region.equal u outer))
-      && not (Region.equal u inner)
-    then incr count
+    incr cmps;
+    if strictly_between context.(i) ~outer ~inner then incr count
   done;
   !count
 
+let count_strictly_between ~context ~outer ~inner =
+  let cmps = ref 0 in
+  let n = count_between ~cmps ~context ~outer ~inner in
+  tick_cmp !cmps;
+  n
+
 (* Enumerate the regions of [s] included in [reg], in order, applying
    [f] until it returns true; returns whether some application did. *)
-let exists_included_in (s : t) (reg : Region.t) f =
-  let lo = first_start_geq s reg.start in
+let exists_included_in ~cmps (s : t) (reg : Region.t) f =
+  let lo = first_start_geq ~cmps s reg.start in
   let n = Array.length s in
   let rec go i =
     if i >= n then false
     else begin
       let cand = s.(i) in
-      tick_cmp 1;
+      incr cmps;
       if cand.Region.start > reg.stop then false
       else if cand.Region.stop <= reg.stop && f cand then true
       else go (i + 1)
@@ -190,135 +210,94 @@ let exists_included_in (s : t) (reg : Region.t) f =
   in
   go lo
 
-let directly_including ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_included_in s reg (fun inner ->
-        not (blocked ~context reg inner))
-  in
-  produced (filter keep r)
-
-let directly_including_strict ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_included_in s reg (fun inner ->
-        (not (Region.equal reg inner)) && not (blocked ~context reg inner))
-  in
-  produced (filter keep r)
-
 (* Enumerate regions of [s] that include [reg]: their start is <=
    reg.start and stop >= reg.stop. *)
-let exists_including (s : t) (reg : Region.t) f =
-  let hi = last_start_leq s reg.start in
+let exists_including ~cmps (s : t) (reg : Region.t) f =
+  let hi = last_start_leq ~cmps s reg.start in
   let rec go i =
     if i < 0 then false
     else begin
       let cand = s.(i) in
-      tick_cmp 1;
+      incr cmps;
       if cand.Region.stop >= reg.stop && f cand then true else go (i - 1)
     end
   in
   go hi
 
+let directly_including ~context r s =
+  tick_op ();
+  let cmps = ref 0 in
+  let keep reg =
+    exists_included_in ~cmps s reg (fun inner ->
+        not (blocked ~cmps ~context reg inner))
+  in
+  publish cmps (filter keep r)
+
+let directly_including_strict ~context r s =
+  tick_op ();
+  let cmps = ref 0 in
+  let keep reg =
+    exists_included_in ~cmps s reg (fun inner ->
+        (not (Region.equal reg inner)) && not (blocked ~cmps ~context reg inner))
+  in
+  publish cmps (filter keep r)
+
 let directly_included ~context r s =
   tick_op ();
+  let cmps = ref 0 in
   let keep reg =
-    exists_including s reg (fun outer ->
-        not (blocked ~context outer reg))
+    exists_including ~cmps s reg (fun outer ->
+        not (blocked ~cmps ~context outer reg))
   in
-  produced (filter keep r)
+  publish cmps (filter keep r)
 
 let directly_included_strict ~context r s =
   tick_op ();
+  let cmps = ref 0 in
   let keep reg =
-    exists_including s reg (fun outer ->
-        (not (Region.equal reg outer)) && not (blocked ~context outer reg))
+    exists_including ~cmps s reg (fun outer ->
+        (not (Region.equal reg outer)) && not (blocked ~cmps ~context outer reg))
   in
-  produced (filter keep r)
-
-let including_strict r s =
-  tick_op ();
-  if is_empty r || is_empty s then empty
-  else begin
-    let keep (reg : Region.t) =
-      exists_included_in s reg (fun inner -> not (Region.equal reg inner))
-    in
-    produced (filter keep r)
-  end
-
-let included_strict r s =
-  tick_op ();
-  if is_empty r || is_empty s then empty
-  else begin
-    let keep (reg : Region.t) =
-      exists_including s reg (fun outer -> not (Region.equal reg outer))
-    in
-    produced (filter keep r)
-  end
+  publish cmps (filter keep r)
 
 let including_at_depth ~context ~depth r s =
   tick_op ();
+  let cmps = ref 0 in
   let keep reg =
-    exists_included_in s reg (fun inner ->
-        count_strictly_between ~context ~outer:reg ~inner = depth)
+    exists_included_in ~cmps s reg (fun inner ->
+        count_between ~cmps ~context ~outer:reg ~inner = depth)
   in
-  produced (filter keep r)
+  publish cmps (filter keep r)
 
+(* ι: an element is innermost iff no other element lies inside it. *)
 let innermost t =
   tick_op ();
-  if is_empty t then empty
-  else begin
-    let table = min_stop_table t in
-    let keep i (reg : Region.t) =
-      let lo = first_start_geq t reg.start in
-      let hi = last_start_leq t reg.stop in
-      match Stdx.Range_minmax.query_excluding table ~lo ~hi ~skip:i with
-      | Some m -> m > reg.stop
-      | None -> true
-    in
-    let out = ref [] in
-    for i = Array.length t - 1 downto 0 do
-      if keep i t.(i) then out := t.(i) :: !out
-    done;
-    produced (Array.of_list !out)
-  end
+  let cmps = ref 0 in
+  let has_inner = inside ~strict:true ~cmps t in
+  publish cmps (filter (fun reg -> not (has_inner reg)) t)
 
+(* ω: every element including [reg] precedes it in the order (smaller
+   start, or the same start and a larger stop), so [reg] is outermost
+   iff the running maximum stop of its predecessors falls short of its
+   own stop. *)
 let outermost t =
-  tick_op ();
-  if is_empty t then empty
-  else begin
-    let table = max_stop_table t in
-    let keep i (reg : Region.t) =
-      let hi = last_start_leq t reg.start in
-      match Stdx.Range_minmax.query_excluding table ~lo:0 ~hi ~skip:i with
-      | Some m -> m < reg.stop
-      | None -> true
-    in
-    let out = ref [] in
-    for i = Array.length t - 1 downto 0 do
-      if keep i t.(i) then out := t.(i) :: !out
-    done;
-    produced (Array.of_list !out)
-  end
+  let max_stop = ref min_int in
+  select t (fun (reg : Region.t) ->
+      reg.stop > !max_stop
+      && begin
+           max_stop := reg.stop;
+           true
+         end)
 
 let containing_match t ~positions ~len =
-  tick_op ();
-  let cmp = Int.compare in
-  let keep (reg : Region.t) =
-    let i = Stdx.Sorted_array.lower_bound ~cmp positions reg.start in
-    tick_cmp 1;
-    i < Array.length positions && positions.(i) + len <= reg.stop
-  in
-  produced (filter keep t)
+  select t (fun (reg : Region.t) ->
+      let i = Stdx.Sorted_array.lower_bound ~cmp:Int.compare positions reg.start in
+      i < Array.length positions && positions.(i) + len <= reg.stop)
 
 let matching_prefix t ~positions ~len =
-  tick_op ();
-  let cmp = Int.compare in
-  let keep (reg : Region.t) =
-    tick_cmp 1;
-    Region.length reg >= len && Stdx.Sorted_array.mem ~cmp positions reg.start
-  in
-  produced (filter keep t)
+  select t (fun (reg : Region.t) ->
+      Region.length reg >= len
+      && Stdx.Sorted_array.mem ~cmp:Int.compare positions reg.start)
 
 let occurrences_within _t ~positions ~len (reg : Region.t) =
   let cmp = Int.compare in
@@ -327,21 +306,12 @@ let occurrences_within _t ~positions ~len (reg : Region.t) =
   max 0 (hi - lo)
 
 let containing_at_least t ~positions ~len ~count =
-  tick_op ();
-  let keep reg =
-    tick_cmp 1;
-    occurrences_within t ~positions ~len reg >= count
-  in
-  produced (filter keep t)
+  select t (fun reg -> occurrences_within t ~positions ~len reg >= count)
 
 let matching_exact t ~positions ~len =
-  tick_op ();
-  let cmp = Int.compare in
-  let keep (reg : Region.t) =
-    tick_cmp 1;
-    Region.length reg = len && Stdx.Sorted_array.mem ~cmp positions reg.start
-  in
-  produced (filter keep t)
+  select t (fun (reg : Region.t) ->
+      Region.length reg = len
+      && Stdx.Sorted_array.mem ~cmp:Int.compare positions reg.start)
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -6,11 +6,16 @@
     [⊃d]/[⊂d] relative to the full set of indexed regions, innermost
     [ι] and outermost [ω], and the word selections [σ].
 
-    Inclusion joins run in O((|R| + |S|) log) using range-min/max
-    tables; direct inclusion additionally scans the indexed regions that
-    may lie between the two operands, which is what makes it
-    "significantly more expensive than the simple inclusion operation"
-    (paper, §3.1). *)
+    Inclusion joins and [ι]/[ω] are single forward passes over the
+    sorted operands: [⊂] and [ω] keep a running maximum stop, and [⊃]
+    and [ι] move a pointer forward and scan the window of regions
+    starting inside the current one, stopping at the first witness
+    (linear on laminar sets).  Direct inclusion additionally scans the
+    indexed regions that may lie between the two operands, which is
+    what makes it "significantly more expensive than the simple
+    inclusion operation" (paper, §3.1).  Each operator charges its
+    comparisons to [engine.region_comparisons] once, when it
+    finishes. *)
 
 type t
 

@@ -5,24 +5,24 @@ exception Unknown_region of string
     not index — with partial indexing this signals that the planner
     referenced a missing index. *)
 
+val apply : Pat.Instance.t -> Expr.t -> Pat.Region_set.t list -> Pat.Region_set.t
+(** [apply inst e operands] applies the root operator of [e] to the
+    already-evaluated [operands] (the values of [Expr.children e], in
+    order): the single operator dispatch every evaluator here walks.
+    Polls {!Obs.Deadline.check} once.  Raises [Invalid_argument] when
+    the operand count does not match the operator. *)
+
 val eval : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
-(** Evaluate with the efficient operators of {!Pat.Region_set}.  Direct
-    inclusion is decided against the instance universe.  When a trace
-    sink is installed (see {!Obs.Trace}) this routes through
-    {!eval_annotated} so every operator application is spanned;
-    otherwise it is {!eval_plain}. *)
+(** Evaluate with the operators of {!Pat.Region_set}.  Direct inclusion
+    is decided against the instance universe.  When a trace sink is
+    installed (see {!Obs.Trace}) this routes through {!eval_annotated}
+    so every operator application is spanned; otherwise it is a bare
+    walk over {!apply}. *)
 
 val eval_shared : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
 (** Like {!eval} but common subexpressions are evaluated once (§5.2:
     boolean combinations of selection criteria often share their inner
     chains).  Same result, fewer index operations. *)
-
-val eval_plain : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
-(** The uninstrumented evaluator — no per-node dispatch, no trace
-    checks beyond the global counters.  Exposed so bench O1 can
-    measure the dispatch overhead of {!eval} against it. *)
-
-val eval_shared_plain : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
 
 val eval_annotated : Pat.Instance.t -> Expr.t -> Pat.Region_set.t * Annot.t
 (** Evaluate and mirror the expression with a per-node actual-cost

@@ -15,6 +15,13 @@ type t =
 
 let equal = ( = )
 
+let children = function
+  | Name _ -> []
+  | Select (_, e) | Innermost e | Outermost e -> [ e ]
+  | Setop (_, a, b) | Chain (a, _, b) | Chain_strict (a, _, b)
+  | At_depth (_, a, b) ->
+      [ a; b ]
+
 let rec collect_names acc = function
   | Name n -> n :: acc
   | Select (_, e) | Innermost e | Outermost e -> collect_names acc e

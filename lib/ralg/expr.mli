@@ -75,6 +75,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val children : t -> t list
+(** The operands of the root operator, left to right. *)
+
 val node_label : t -> string
 (** Rendering of the root operator alone — [>d], [sigma["w"]], a region
     name — for plan annotations and trace span names. *)

@@ -275,7 +275,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
       | Ok expr -> (
           (* connection threads share the main domain, so
              [Obs.Deadline] (domain-local) cannot arbitrate between
-             them — each pulled region checks the wall clock
+             them — each streamed region checks the wall clock
              instead *)
           let deadline =
             Option.map (fun ms -> Obs.Trace.now_ms () +. ms) timeout_ms
@@ -285,7 +285,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
           match
             List.iter
               (fun (file, (src : Oqf.Execute.source)) ->
-                Seq.iter
+                Pat.Region_set.iter
                   (fun (r : Pat.Region.t) ->
                     (match deadline with
                     | Some d when Obs.Trace.now_ms () > d -> raise Timed_out
@@ -294,7 +294,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
                     send fd
                       (Protocol.Region
                          { id; file; start = r.start; stop = r.stop }))
-                  (Ralg.Lazy_eval.eval src.instance expr))
+                  (Ralg.Eval.eval src.instance expr))
               (Oqf.Corpus.sources corpus)
           with
           | () ->
@@ -433,6 +433,9 @@ let find_sub s sub =
   in
   go 0
 
+(* A request the facade could read, or why it could not: [`Too_large]
+   is a declared body length outside [0, Protocol.max_line], refused
+   before anything is allocated for it. *)
 let read_http_request fd =
   (* read head + body; bounded like the line protocol *)
   let buf = Buffer.create 512 in
@@ -453,7 +456,7 @@ let read_http_request fd =
         end
   in
   match head () with
-  | None -> None
+  | None -> `Bad
   | Some (head, partial_body) -> (
       match String.split_on_char ' ' (List.hd (String.split_on_char '\r' head)) with
       | meth :: path :: _ ->
@@ -473,21 +476,25 @@ let read_http_request fd =
               0
               (String.split_on_char '\n' head)
           in
-          let body = Buffer.create (max 16 content_length) in
-          Buffer.add_string body partial_body;
-          let rec fill () =
-            if Buffer.length body < content_length then begin
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> ()
-              | n ->
-                  Buffer.add_subbytes body chunk 0 n;
-                  fill ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
-            end
-          in
-          fill ();
-          Some (meth, path, Buffer.contents body)
-      | _ -> None)
+          if content_length < 0 || content_length > Protocol.max_line then
+            `Too_large
+          else begin
+            let body = Buffer.create (max 16 content_length) in
+            Buffer.add_string body partial_body;
+            let rec fill () =
+              if Buffer.length body < content_length then begin
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> ()
+                | n ->
+                    Buffer.add_subbytes body chunk 0 n;
+                    fill ()
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+              end
+            in
+            fill ();
+            `Request (meth, path, Buffer.contents body)
+          end
+      | _ -> `Bad)
 
 let http_respond fd status content_type body =
   let head =
@@ -508,12 +515,15 @@ let http_respond fd status content_type body =
 
 let serve_http_connection t ~conn fd =
   match read_http_request fd with
-  | None -> http_respond fd "400 Bad Request" "text/plain" "bad request\n"
-  | Some ("GET", "/health", _) -> http_respond fd "200 OK" "text/plain" "ok\n"
-  | Some ("GET", "/metrics", _) ->
+  | `Bad -> http_respond fd "400 Bad Request" "text/plain" "bad request\n"
+  | `Too_large ->
+      http_respond fd "413 Payload Too Large" "text/plain"
+        (Printf.sprintf "request body must be 0..%d bytes\n" Protocol.max_line)
+  | `Request ("GET", "/health", _) -> http_respond fd "200 OK" "text/plain" "ok\n"
+  | `Request ("GET", "/metrics", _) ->
       (* Prometheus text exposition of the whole registry *)
       http_respond fd "200 OK" "text/plain; version=0.0.4" (Obs.Expo.render ())
-  | Some ("POST", _, body) -> (
+  | `Request ("POST", _, body) -> (
       match Protocol.parse_request (String.trim body) with
       | Error (_, msg) ->
           http_respond fd "400 Bad Request" "text/plain" (msg ^ "\n")
@@ -561,7 +571,7 @@ let serve_http_connection t ~conn fd =
               http_respond fd "200 OK" "application/x-ndjson"
                 (Protocol.render_response (Protocol.Bye { id }) ^ "\n");
               initiate_shutdown t))
-  | Some _ ->
+  | `Request _ ->
       http_respond fd "405 Method Not Allowed" "text/plain"
         "method not allowed\n"
 

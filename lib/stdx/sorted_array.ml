@@ -110,4 +110,29 @@ let equal ~cmp a b =
       in
       go 0)
 
-let filter p a = Array.of_list (List.filter p (Array.to_list a))
+(* One call of [p] per element, in order, marking survivors in a byte
+   map: the only word-sized allocation is the result itself. *)
+let filter p a =
+  let n = Array.length a in
+  let kept = Bytes.make n '\000' in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if p a.(i) then begin
+      Bytes.unsafe_set kept i '\001';
+      incr k
+    end
+  done;
+  if !k = n then a
+  else if !k = 0 then [||]
+  else begin
+    let out = Array.make !k a.(Bytes.index kept '\001') in
+    let j = ref 0 in
+    Bytes.iteri
+      (fun i c ->
+        if c <> '\000' then begin
+          out.(!j) <- a.(i);
+          incr j
+        end)
+      kept;
+    out
+  end

@@ -41,4 +41,5 @@ val upper_bound : cmp:('a -> 'a -> int) -> 'a array -> 'a -> int
     or [Array.length a] if no element is greater. *)
 
 val filter : ('a -> bool) -> 'a array -> 'a array
-(** Order-preserving filter (sortedness is preserved). *)
+(** Order-preserving filter (sortedness is preserved).  [p] is applied
+    once to each element, left to right, so it may carry state. *)

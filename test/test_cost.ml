@@ -167,7 +167,7 @@ let estimator_tests =
            let e = Test_ralg.random_general prng names 3 in
            let stats = Stats.of_instance inst in
            let actual =
-             float_of_int (Pat.Region_set.cardinal (Ralg.Eval.eval_plain inst e))
+             float_of_int (Pat.Region_set.cardinal (Ralg.Eval.eval inst e))
            in
            let est = Model.estimate stats e in
            if actual > est.Model.upper +. 1e-9 then
@@ -191,10 +191,10 @@ let planner_tests =
            let names = Array.of_list (Ralg.Rig.names rig) in
            let e = Test_ralg.random_general prng names 3 in
            let stats = Stats.of_instance inst in
-           let naive = Ralg.Eval.eval_plain inst e in
-           let rules = Ralg.Eval.eval_plain inst (Ralg.Optimizer.optimize rig e) in
+           let naive = Ralg.Naive_eval.eval inst e in
+           let rules = Ralg.Eval.eval inst (Ralg.Optimizer.optimize rig e) in
            let d = Planner.choose ~stats ~rig e in
-           let cost = Ralg.Eval.eval_plain inst d.Planner.chosen in
+           let cost = Ralg.Eval.eval inst d.Planner.chosen in
            if not (Pat.Region_set.equal naive rules) then
              QCheck.Test.fail_reportf "seed %d: rules differs on %s" seed
                (Expr.to_string e);

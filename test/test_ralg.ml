@@ -625,6 +625,53 @@ let soundness_tests =
             Alcotest.failf "seed %d: eval_shared mismatch on %s" seed
               (Expr.to_string e)
         done);
+    Alcotest.test_case "prefix selections agree with naive reference" `Slow
+      (fun () ->
+        (* [random_general] emits no prefix selection; wrap one around
+           every generated expression *)
+        for seed = 1 to 400 do
+          let rig, inst, prng = Gen_instance.generate seed in
+          let names = Array.of_list (Rig.names rig) in
+          let e =
+            Expr.Select
+              ( Expr.Prefix_word (Stdx.Prng.choose prng [| "a"; "b"; "c" |]),
+                random_general prng names 3 )
+          in
+          let fast = Eval.eval inst e
+          and shared = Eval.eval_shared inst e
+          and slow = Naive_eval.eval inst e in
+          if not (Pat.Region_set.equal fast slow) then
+            Alcotest.failf "seed %d: eval mismatch on %s" seed (Expr.to_string e);
+          if not (Pat.Region_set.equal shared slow) then
+            Alcotest.failf "seed %d: eval_shared mismatch on %s" seed
+              (Expr.to_string e)
+        done);
+    Alcotest.test_case "results are strictly ordered GC-lists" `Quick
+      (fun () ->
+        (* the one-pass operators rely on their operands being strictly
+           increasing under Region.compare *)
+        let check_order seed e set =
+          let a = Pat.Region_set.to_array set in
+          for i = 1 to Array.length a - 1 do
+            if Pat.Region.compare a.(i - 1) a.(i) >= 0 then
+              Alcotest.failf "seed %d: out of order on %s" seed
+                (Expr.to_string e)
+          done
+        in
+        for seed = 1 to 100 do
+          let rig, inst, prng = Gen_instance.generate seed in
+          let names = Array.of_list (Rig.names rig) in
+          let e = random_general prng names 3 in
+          check_order seed e (Eval.eval inst e);
+          check_order seed e (Eval.eval_shared inst e)
+        done);
+    Alcotest.test_case "unknown region name raises at eval time" `Quick
+      (fun () ->
+        let _, inst, _ = Gen_instance.generate 5 in
+        match Eval.eval inst (Expr.Name "NoSuchRegion") with
+        | exception Eval.Unknown_region n ->
+            Alcotest.(check string) "name" "NoSuchRegion" n
+        | _ -> Alcotest.fail "expected Unknown_region");
     Alcotest.test_case "eval_shared evaluates common subexpressions once"
       `Quick
       (fun () ->
@@ -878,7 +925,7 @@ let annot_tests =
               (Annot.total_lookups a) d_lk (Expr.to_string e);
           if a.Annot.out_card <> Pat.Region_set.cardinal r then
             Alcotest.failf "seed %d: out_card mismatch" seed;
-          if not (Pat.Region_set.equal r (Eval.eval_plain inst e)) then
+          if not (Pat.Region_set.equal r (Naive_eval.eval inst e)) then
             Alcotest.failf "seed %d: annotated result differs" seed
         done);
     Alcotest.test_case "shared annotation marks repeats cached, still sums"
@@ -908,8 +955,8 @@ let annot_tests =
         in
         let rec all_ok n = cached_free n && List.for_all all_ok n.Annot.children in
         Alcotest.(check bool) "cached nodes carry no self cost" true (all_ok a);
-        Alcotest.(check bool) "same result as eval" true
-          (Pat.Region_set.equal r (Eval.eval_plain inst e)));
+        Alcotest.(check bool) "same result as the naive reference" true
+          (Pat.Region_set.equal r (Naive_eval.eval inst e)));
     Alcotest.test_case "node labels render the operator alone" `Quick
       (fun () ->
         Alcotest.(check string) "chain" ">d"
@@ -951,92 +998,12 @@ let annot_tests =
            Pat.Region_set.equal plain_r shared_r && shared_ops < plain_ops));
   ]
 
-(* The tentpole property of the serve PR: the pull-based evaluator is
-   byte-identical to the materialized one on random RIG-conforming
-   instances, for every operator (including the prefix selection, which
-   [random_general] does not emit — wrapped in here). *)
-let lazy_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:400
-         ~name:"lazy streams == materialized sets (random instances)"
-         QCheck.(make Gen.(int_bound 100000))
-         (fun seed ->
-           let rig, inst, prng = Gen_instance.generate seed in
-           let names = Array.of_list (Rig.names rig) in
-           let e = random_general prng names 3 in
-           let e =
-             if Stdx.Prng.int prng 100 < 20 then
-               Expr.Select
-                 ( Expr.Prefix_word (Stdx.Prng.choose prng [| "a"; "b"; "c" |]),
-                   e )
-             else e
-           in
-           let materialized = Eval.eval_plain inst e in
-           let streamed = Lazy_eval.to_set (Lazy_eval.eval inst e) in
-           if not (Pat.Region_set.equal streamed materialized) then
-             QCheck.Test.fail_reportf "seed %d: lazy mismatch on %s" seed
-               (Expr.to_string e);
-           true));
-    Alcotest.test_case "pulled regions arrive in strict GC-list order" `Quick
-      (fun () ->
-        for seed = 1 to 60 do
-          let rig, inst, prng = Gen_instance.generate seed in
-          let names = Array.of_list (Rig.names rig) in
-          let e = random_general prng names 3 in
-          let prev = ref None in
-          Seq.iter
-            (fun r ->
-              (match !prev with
-              | Some p when Pat.Region.compare p r >= 0 ->
-                  Alcotest.failf "seed %d: out of order on %s" seed
-                    (Expr.to_string e)
-              | _ -> ());
-              prev := Some r)
-            (Lazy_eval.eval inst e)
-        done);
-    Alcotest.test_case "streams are lazy: first pull before full scan" `Quick
-      (fun () ->
-        (* a union of two names must yield its first region without
-           having pulled either operand to the end *)
-        let _, inst, _ = Gen_instance.generate 3 in
-        match Pat.Instance.names inst with
-        | a :: b :: _ ->
-            let s =
-              Lazy_eval.eval inst
-                (Expr.Setop (Expr.Union, Expr.Name a, Expr.Name b))
-            in
-            (match s () with
-            | Seq.Nil ->
-                (* an empty union is fine too; nothing to assert *)
-                ()
-            | Seq.Cons (first, _) ->
-                let full =
-                  Eval.eval_plain inst
-                    (Expr.Setop (Expr.Union, Expr.Name a, Expr.Name b))
-                in
-                Alcotest.(check bool)
-                  "first pulled equals least element" true
-                  (match Pat.Region_set.choose full with
-                  | Some least -> Pat.Region.equal least first
-                  | None -> false))
-        | _ -> Alcotest.fail "need two names");
-    Alcotest.test_case "unknown region name raises at eval time" `Quick
-      (fun () ->
-        let _, inst, _ = Gen_instance.generate 5 in
-        match Lazy_eval.eval inst (Expr.Name "NoSuchRegion") () with
-        | exception Eval.Unknown_region n ->
-            Alcotest.(check string) "name" "NoSuchRegion" n
-        | _ -> Alcotest.fail "expected Unknown_region");
-  ]
-
 let suites =
   [
     ("ralg.rig", rig_tests);
     ("ralg.optimizer", optimizer_tests);
     ("ralg.trivial", trivial_tests);
     ("ralg.soundness", soundness_tests);
-    ("ralg.lazy", lazy_tests);
     ("ralg.annot", annot_tests);
     ("ralg.parser", parser_tests);
     ("ralg.cost", cost_tests);

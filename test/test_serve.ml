@@ -302,7 +302,7 @@ let streaming_matches_parallel corpus q_text jobs =
 
 let streaming_qcheck =
   QCheck.Test.make ~count:20
-    ~name:"run_streaming == run_parallel (lazy phase 1, any shard count)"
+    ~name:"run_streaming == run_parallel (any shard count)"
     QCheck.(
       quad (int_range 1 4) (int_range 3 14) (int_range 1 8)
         (pair bool (int_range 0 9)))
@@ -345,6 +345,28 @@ let streaming_tests =
         let corpus = log_corpus [ 20; 10; 5 ] in
         List.iter (fun q -> streaming_matches_parallel corpus q 3) log_queries);
     QCheck_alcotest.to_alcotest streaming_qcheck;
+    Alcotest.test_case "streamed phase 1 counts the same work as Execute.run"
+      `Quick (fun () ->
+        let corpus = bibtex_corpus [ 12 ] in
+        let src =
+          match Oqf.Corpus.sources corpus with
+          | [ (_, src) ] -> src
+          | _ -> Alcotest.fail "expected one file"
+        in
+        Exec.Pool.with_pool ~jobs:1 (fun pool ->
+            List.iter
+              (fun q_text ->
+                let q = Odb.Query_parser.parse_exn q_text in
+                let direct = (or_fail (Oqf.Execute.run src q)).Oqf.Execute.stats in
+                let r, _ = run_streaming_collect ~pool corpus q in
+                let streamed = (or_fail r).Exec.Driver.stats in
+                Alcotest.(check int)
+                  ("index_ops: " ^ q_text)
+                  direct.Stdx.Stats.index_ops streamed.Stdx.Stats.index_ops;
+                Alcotest.(check int)
+                  ("region_comparisons: " ^ q_text)
+                  direct.region_comparisons streamed.region_comparisons)
+              bibtex_queries));
     Alcotest.test_case "cache hit replays per-file blocks" `Quick (fun () ->
         let corpus = log_corpus [ 15; 10 ] in
         let q =
@@ -674,6 +696,30 @@ let free_port () =
       | Unix.ADDR_INET (_, port) -> port
       | _ -> assert false)
 
+(* one raw HTTP exchange with the facade: send [text], read to EOF *)
+let http_raw ~port text =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let b = Bytes.of_string text in
+      let rec send off =
+        if off < Bytes.length b then
+          send (off + Unix.write fd b off (Bytes.length b - off))
+      in
+      send 0;
+      let buf = Buffer.create 256 and chunk = Bytes.create 1024 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+      in
+      drain ();
+      Buffer.contents buf)
+
 let done_trace events =
   match
     List.find_opt
@@ -708,6 +754,33 @@ let telemetry_tests =
                 "oqf_serve_requests"; "oqf_serve_request_latency_ms";
                 "# TYPE";
               ]));
+    Alcotest.test_case "oversized HTTP body is refused with 413" `Quick
+      (fun () ->
+        with_server ~http_port:(free_port ()) (fun config _dir ->
+            let port = Option.get config.Serve.Server.http_port in
+            let post ~length body =
+              http_raw ~port
+                (Printf.sprintf
+                   "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n%s"
+                   length body)
+            in
+            List.iter
+              (fun length ->
+                let reply = post ~length "" in
+                Alcotest.(check bool)
+                  ("413 for Content-Length " ^ length)
+                  true
+                  (Astring.String.is_prefix ~affix:"HTTP/1.1 413" reply))
+              [ "4611686018427387903"; "-1"; string_of_int (Serve.Protocol.max_line + 1) ];
+            (* the daemon still answers *)
+            let ping = Serve.Protocol.render_request 1 Serve.Protocol.Ping in
+            let reply =
+              post ~length:(string_of_int (String.length ping)) ping
+            in
+            Alcotest.(check bool) "200 after the refusals" true
+              (Astring.String.is_prefix ~affix:"HTTP/1.1 200" reply);
+            Alcotest.(check bool) "pong" true
+              (Astring.String.is_infix ~affix:"pong" reply)));
     Alcotest.test_case
       "one trace id correlates the reply, the qlog and the slow log" `Quick
       (fun () ->

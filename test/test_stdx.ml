@@ -124,56 +124,20 @@ let sorted_array_units =
           (Stdx.Sorted_array.is_sorted ~cmp:icmp [| 1; 1 |]);
         Alcotest.(check bool) "desc" false
           (Stdx.Sorted_array.is_sorted ~cmp:icmp [| 2; 1 |]));
-  ]
-
-let range_minmax_tests =
-  let naive kind a lo hi =
-    let lo = max lo 0 and hi = min hi (Array.length a - 1) in
-    if lo > hi then None
-    else begin
-      let acc = ref a.(lo) in
-      for i = lo + 1 to hi do
-        acc := (match kind with `Min -> min | `Max -> max) !acc a.(i)
-      done;
-      Some !acc
-    end
-  in
-  [
-    QCheck.Test.make ~name:"range min matches naive" ~count:300
-      QCheck.(
-        triple
-          (array_of_size Gen.(int_range 1 40) (int_bound 1000))
-          small_nat small_nat)
-      (fun (a, i, j) ->
-        let t = Stdx.Range_minmax.of_array ~kind:`Min a in
-        let lo = i mod Array.length a and hi = j mod Array.length a in
-        Stdx.Range_minmax.query t ~lo ~hi = naive `Min a lo hi);
-    QCheck.Test.make ~name:"range max matches naive" ~count:300
-      QCheck.(
-        triple
-          (array_of_size Gen.(int_range 1 40) (int_bound 1000))
-          small_nat small_nat)
-      (fun (a, i, j) ->
-        let t = Stdx.Range_minmax.of_array ~kind:`Max a in
-        let lo = i mod Array.length a and hi = j mod Array.length a in
-        Stdx.Range_minmax.query t ~lo ~hi = naive `Max a lo hi);
-    QCheck.Test.make ~name:"query_excluding skips one index" ~count:300
-      QCheck.(
-        pair (array_of_size Gen.(int_range 2 40) (int_bound 1000)) small_nat)
-      (fun (a, i) ->
-        let t = Stdx.Range_minmax.of_array ~kind:`Min a in
-        let n = Array.length a in
-        let skip = i mod n in
-        let want =
-          let best = ref None in
-          for j = 0 to n - 1 do
-            if j <> skip then
-              best :=
-                Some (match !best with None -> a.(j) | Some b -> min b a.(j))
-          done;
-          !best
-        in
-        Stdx.Range_minmax.query_excluding t ~lo:0 ~hi:(n - 1) ~skip = want);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"filter = List.filter, applied in order"
+         ~count:200
+         QCheck.(pair (list small_nat) small_nat)
+         (fun (l, m) ->
+           let a = Stdx.Sorted_array.of_list ~cmp:icmp l in
+           let seen = ref [] in
+           let p x =
+             seen := x :: !seen;
+             x mod (m + 2) <> 0
+           in
+           let got = Stdx.Sorted_array.filter p a in
+           Array.to_list got = List.filter p (Array.to_list a)
+           && List.rev !seen = Array.to_list a @ Array.to_list a));
   ]
 
 let zipf_tests =
@@ -519,7 +483,6 @@ let suites =
     ( "stdx.sorted_array",
       sorted_array_units @ List.map QCheck_alcotest.to_alcotest sorted_array_props
     );
-    ("stdx.range_minmax", List.map QCheck_alcotest.to_alcotest range_minmax_tests);
     ("stdx.zipf", zipf_tests);
     ("stdx.stats", stats_tests);
     ("stdx.fault", fault_tests);
